@@ -168,10 +168,9 @@ int main(int argc, char** argv) {
             << kBlock.to_string() << ") ===\n";
   cpu::CalibrationOptions options;
   options.repetitions = opts.smoke ? 1 : 3;
-  options.workers = std::min<std::size_t>(4, util::hardware_threads());
   const cpu::CalibrationResult result =
       cpu::calibrate_cpu({kM, kN, kK}, kBlock, options);
-  std::cout << "samples (grid -> seconds):\n";
+  std::cout << "samples (grid -> critical-CTA seconds):\n";
   for (const auto& s : result.samples) {
     std::cout << "  g=" << s.grid << " -> " << s.seconds << "\n";
   }

@@ -18,7 +18,8 @@
 //
 // Deadlock freedom and memory-ordering arguments are identical to
 // cpu/executor.hpp (waits target higher ids; claims descend; flag
-// signal/wait is release/acquire); see DESIGN.md.
+// signal/wait is a seq_cst store / acquire load, see cpu/workspace.hpp); see
+// DESIGN.md.
 //
 // Allocation behaviour: the fixup workspace is leased from
 // runtime::WorkspacePool and the per-CTA accumulator/fragment scratch comes
@@ -28,6 +29,8 @@
 // dispatches onto the persistent runtime::global_pool().
 
 #include <algorithm>
+#include <chrono>
+#include <span>
 #include <vector>
 
 #include "core/schedule_plan.hpp"
@@ -44,12 +47,21 @@ namespace streamk::cpu {
 /// `cache_config` overrides the plan's panel-cache slot grid for substrates
 /// whose panel keys are not the plain (tm, tn) matrix panels (batched
 /// entries, convolution iterations); nullptr takes the plan geometry.
+///
+/// `cta_seconds`, when non-empty, must hold plan.grid() entries: each CTA's
+/// own wall time (segments, spill, fixup wait and reduce, stores) is written
+/// to its entry by the thread that ran it, and is readable once the call
+/// returns.  An empty span selects the untimed loop once per call.
 template <typename Acc, typename MacFn, typename StoreFn>
 void run_decomposed(const core::SchedulePlan& plan, std::int64_t tile_elements,
                     MacFn&& mac, StoreFn&& store,
                     const ExecutorOptions& options,
-                    const PanelCacheConfig* cache_config = nullptr) {
+                    const PanelCacheConfig* cache_config = nullptr,
+                    std::span<double> cta_seconds = {}) {
   plan.check_runnable();
+  util::check(cta_seconds.empty() ||
+                  cta_seconds.size() == static_cast<std::size_t>(plan.grid()),
+              "cta_seconds must hold one entry per CTA");
   auto lease =
       runtime::WorkspacePool<Acc>::instance().acquire(plan, tile_elements);
   FixupWorkspace<Acc>& workspace = lease.workspace();
@@ -116,8 +128,21 @@ void run_decomposed(const core::SchedulePlan& plan, std::int64_t tile_elements,
     }
   };
 
-  util::parallel_for_descending(static_cast<std::size_t>(plan.grid()), run_cta,
-                                workers);
+  const auto grid = static_cast<std::size_t>(plan.grid());
+  if (cta_seconds.empty()) {
+    util::parallel_for_descending(grid, run_cta, workers);
+    return;
+  }
+  util::parallel_for_descending(
+      grid,
+      [&](std::size_t cta_index) {
+        const auto start = std::chrono::steady_clock::now();
+        run_cta(cta_index);
+        cta_seconds[cta_index] = std::chrono::duration<double>(
+                                     std::chrono::steady_clock::now() - start)
+                                     .count();
+      },
+      workers);
 }
 
 }  // namespace streamk::cpu

@@ -15,7 +15,8 @@ namespace streamk::cpu {
 template <typename In, typename Acc, typename Out>
 void execute_plan(const core::SchedulePlan& plan, const Matrix<In>& a,
                   const Matrix<In>& b, Matrix<Out>& c,
-                  const ExecutorOptions& options) {
+                  const ExecutorOptions& options,
+                  std::span<double> cta_seconds) {
   const core::WorkMapping& mapping = plan.mapping();
   const core::GemmShape shape = product_shape(a, b, c);
   util::check(shape == mapping.shape(),
@@ -41,7 +42,7 @@ void execute_plan(const core::SchedulePlan& plan, const Matrix<In>& a,
             mapping.tile_extent_m(coord.tm), mapping.tile_extent_n(coord.tn),
             shape.n, accum.data(), blk.n, c.row_ptr(mm) + nn, c.cols());
       },
-      options);
+      options, nullptr, cta_seconds);
 }
 
 template <typename In, typename Acc, typename Out>
@@ -54,13 +55,14 @@ void execute_decomposition(const core::Decomposition& decomposition,
 
 template void execute_plan<double, double, double>(
     const core::SchedulePlan&, const Matrix<double>&, const Matrix<double>&,
-    Matrix<double>&, const ExecutorOptions&);
+    Matrix<double>&, const ExecutorOptions&, std::span<double>);
 template void execute_plan<float, float, float>(
     const core::SchedulePlan&, const Matrix<float>&, const Matrix<float>&,
-    Matrix<float>&, const ExecutorOptions&);
+    Matrix<float>&, const ExecutorOptions&, std::span<double>);
 template void execute_plan<util::Half, float, float>(
     const core::SchedulePlan&, const Matrix<util::Half>&,
-    const Matrix<util::Half>&, Matrix<float>&, const ExecutorOptions&);
+    const Matrix<util::Half>&, Matrix<float>&, const ExecutorOptions&,
+    std::span<double>);
 
 template void execute_decomposition<double, double, double>(
     const core::Decomposition&, const Matrix<double>&, const Matrix<double>&,

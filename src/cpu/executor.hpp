@@ -19,6 +19,7 @@
 // descheduled rather than starving its producer.
 
 #include <cstddef>
+#include <span>
 
 #include "core/decomposition.hpp"
 #include "cpu/matrix.hpp"
@@ -57,11 +58,14 @@ struct ExecutorOptions {
 
 /// Executes a compiled plan over real matrices: C = alpha * A.B + beta * C.
 /// The matrices must conform to the plan's GEMM shape.  Reusing one plan
-/// across calls amortizes schedule compilation entirely.
+/// across calls amortizes schedule compilation entirely.  A non-empty
+/// `cta_seconds` (plan.grid() entries) receives each CTA's own wall time;
+/// see run_decomposed in cpu/decomposed_runner.hpp.
 template <typename In, typename Acc, typename Out>
 void execute_plan(const core::SchedulePlan& plan, const Matrix<In>& a,
                   const Matrix<In>& b, Matrix<Out>& c,
-                  const ExecutorOptions& options = {});
+                  const ExecutorOptions& options = {},
+                  std::span<double> cta_seconds = {});
 
 /// Convenience overload: compiles `decomposition` and executes the plan.
 template <typename In, typename Acc, typename Out>
@@ -71,13 +75,14 @@ void execute_decomposition(const core::Decomposition& decomposition,
 
 extern template void execute_plan<double, double, double>(
     const core::SchedulePlan&, const Matrix<double>&, const Matrix<double>&,
-    Matrix<double>&, const ExecutorOptions&);
+    Matrix<double>&, const ExecutorOptions&, std::span<double>);
 extern template void execute_plan<float, float, float>(
     const core::SchedulePlan&, const Matrix<float>&, const Matrix<float>&,
-    Matrix<float>&, const ExecutorOptions&);
+    Matrix<float>&, const ExecutorOptions&, std::span<double>);
 extern template void execute_plan<util::Half, float, float>(
     const core::SchedulePlan&, const Matrix<util::Half>&,
-    const Matrix<util::Half>&, Matrix<float>&, const ExecutorOptions&);
+    const Matrix<util::Half>&, Matrix<float>&, const ExecutorOptions&,
+    std::span<double>);
 
 extern template void execute_decomposition<double, double, double>(
     const core::Decomposition&, const Matrix<double>&, const Matrix<double>&,

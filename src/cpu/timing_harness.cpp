@@ -1,12 +1,11 @@
 #include "cpu/timing_harness.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 
+#include "core/schedule_plan.hpp"
 #include "core/stream_k.hpp"
 #include "cpu/executor.hpp"
-#include "util/threading.hpp"
 
 namespace streamk::cpu {
 
@@ -28,24 +27,28 @@ CalibrationResult calibrate_cpu(const core::GemmShape& shape,
   fill_random(a, rng);
   fill_random(b, rng);
 
-  const std::size_t workers =
-      options.workers > 0 ? options.workers : util::default_workers();
+  // One worker: the runner executes every CTA inline on this thread in
+  // descending id order, so each fixup wait is already satisfied.
+  ExecutorOptions exec_options;
+  exec_options.workers = 1;
 
   CalibrationResult result;
+  std::vector<double> cta_seconds;
+  std::vector<double> best;
   for (const std::int64_t g : grids) {
-    const core::StreamKBasic decomposition(mapping, g);
-    double best = std::numeric_limits<double>::infinity();
+    const core::SchedulePlan plan =
+        core::compile_plan(core::StreamKBasic(mapping, g));
+    cta_seconds.assign(static_cast<std::size_t>(plan.grid()), 0.0);
+    best.assign(cta_seconds.size(), std::numeric_limits<double>::infinity());
     for (int rep = 0; rep < std::max(1, options.repetitions); ++rep) {
-      const auto start = std::chrono::steady_clock::now();
-      ExecutorOptions exec_options;
-      exec_options.workers = workers;
-      execute_decomposition<double, double, double>(decomposition, a, b, c,
-                                                    exec_options);
-      const auto stop = std::chrono::steady_clock::now();
-      best = std::min(best,
-                      std::chrono::duration<double>(stop - start).count());
+      execute_plan<double, double, double>(plan, a, b, c, exec_options,
+                                           cta_seconds);
+      for (std::size_t i = 0; i < best.size(); ++i) {
+        best[i] = std::min(best[i], cta_seconds[i]);
+      }
     }
-    result.samples.push_back(model::FitSample{g, best});
+    result.samples.push_back(
+        model::FitSample{g, *std::max_element(best.begin(), best.end())});
   }
 
   result.params = model::fit_cost_params(mapping, result.samples);

@@ -9,12 +9,20 @@
 // for CTAs that actually spill, so -- as the paper emphasizes -- temporary
 // storage scales with the grid (O(p)), never with the problem output size.
 //
-// Synchronization uses one std::atomic<std::uint32_t> per spilling CTA with
-// release/acquire ordering: the release store in signal() publishes the
-// partials written before it; the acquire load in wait() makes them visible
-// to the owner.  wait() blocks via C++20 atomic waiting, so heavily
-// oversubscribed executions (hundreds of CTAs on one hardware thread) make
-// progress without spinning.
+// Synchronization uses one std::atomic<std::uint32_t> per spilling CTA: the
+// store in signal() publishes the partials written before it; the acquire
+// load in wait() makes them visible to the owner.  wait() blocks via C++20
+// atomic waiting, so heavily oversubscribed executions (hundreds of CTAs on
+// one hardware thread) make progress without spinning.
+//
+// The flag store is seq_cst, not release.  notify_all() skips the futex wake
+// when its (seq_cst) load of the waiter count reads zero -- libstdc++ 12
+// does exactly this.  A release store may be reordered after that load
+// (store-load reordering is allowed, and happens on x86), so a waiter can
+// register, re-check the flag, still read 0, and sleep while the signaller
+// reads a zero waiter count and skips the wake: a lost wake-up that strands
+// the tile owner forever.  A seq_cst store is totally ordered with the
+// waiter-count load, which closes that window.
 //
 // A workspace is *rebindable*: bind(plan, tile_elements) re-derives the
 // slot map and rearms the flags while reusing the existing buffer capacity,
@@ -90,12 +98,13 @@ class FixupWorkspace {
         static_cast<std::size_t>(tile_elements_));
   }
 
-  /// Publishes `cta`'s partials (release) and wakes waiters.
+  /// Publishes `cta`'s partials and wakes waiters.  The store is seq_cst so
+  /// notify_all() cannot miss a waiter (see the header comment).
   void signal(std::int64_t cta) {
     const std::int64_t slot = slot_of_cta_[static_cast<std::size_t>(cta)];
     util::check(slot >= 0, "signal from CTA without slot");
     auto& flag = flags_[static_cast<std::size_t>(slot)];
-    flag.store(1, std::memory_order_release);
+    flag.store(1, std::memory_order_seq_cst);
     flag.notify_all();
   }
 

@@ -5,18 +5,22 @@
 // claim: N submitter threads pushing randomized shapes across all five
 // decomposition kinds through the one shared pool, every result checked
 // against the sequential reference; oversubscription (a spilling Stream-K
-// grid far larger than the pool); the serial workers == 1 descending-order
-// determinism guarantee; and pool/workspace lifecycle (exceptions rethrown
-// at the handle, restart after shutdown, FixupWorkspace reuse).
+// grid far larger than the pool); a lost-wake-up regression on the fixup
+// flag; the serial workers == 1 descending-order determinism guarantee; and
+// pool/workspace lifecycle (exceptions rethrown at the handle, restart after
+// shutdown, FixupWorkspace reuse).
 //
-// Runs under ASan/UBSan and the TSan CI job -- the release/acquire story of
-// the fixup protocol and the region close/cancel protocol are exactly what
+// Runs under ASan/UBSan and the TSan CI job -- the flag ordering of the
+// fixup protocol and the region close/cancel protocol are exactly what
 // TSan is here to referee.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
+#include <cstdio>
+#include <cstdlib>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -265,6 +269,76 @@ TEST(RuntimeStress, SpillingGridFarExceedsPoolSize) {
   EXPECT_TRUE(testing::bitwise_equal(expected, c));
 
   runtime::global_pool().restart();
+}
+
+// ------------------------------------------------------- fixup wake-up
+
+TEST(RuntimeStress, FixupSignalNeverLosesWakeup) {
+  // Regression for a lost wake-up: FixupWorkspace::signal stored its flag
+  // with release ordering, which lets the store slip past notify_all()'s
+  // waiter-count check, so an owner that went to sleep in between was never
+  // woken.  The smallest problem that races a signal against a blocked
+  // owner -- one tile, Stream-K grid 3 (two spilling CTAs), four workers --
+  // is looped on a runner thread while this thread watches its progress: a
+  // call that stops finishing is reported as a failure and the process
+  // exits non-zero instead of hanging the suite.
+  const core::GemmShape shape{32, 32, 96};
+  const core::WorkMapping mapping(shape, {32, 32, 16});
+  const core::SchedulePlan plan =
+      core::compile_plan(core::StreamKBasic(mapping, 3));
+  ASSERT_EQ(plan.spill_slot_count(), 2);
+
+  util::Pcg32 rng(11);
+  cpu::Matrix<double> a(shape.m, shape.k), b(shape.k, shape.n);
+  cpu::Matrix<double> c(shape.m, shape.n);
+  cpu::fill_random_int(a, rng);
+  cpu::fill_random_int(b, rng);
+
+  // Bounded both ways: enough calls to hit the race on a few-core host
+  // within a few seconds, and a time cap for slow sanitizer builds.
+  constexpr std::int64_t kMaxCalls = 200'000;
+  constexpr auto kBudget = std::chrono::seconds(3);
+  constexpr auto kStall = std::chrono::seconds(20);
+
+  std::atomic<std::int64_t> calls{0};
+  std::atomic<bool> done{false};
+  std::thread runner([&] {
+    const auto stop = std::chrono::steady_clock::now() + kBudget;
+    while (calls.load(std::memory_order_relaxed) < kMaxCalls &&
+           std::chrono::steady_clock::now() < stop) {
+      cpu::execute_plan<double, double, double>(plan, a, b, c,
+                                                {.workers = 4});
+      calls.fetch_add(1, std::memory_order_relaxed);
+    }
+    done.store(true, std::memory_order_release);
+  });
+
+  std::int64_t last = -1;
+  auto last_progress = std::chrono::steady_clock::now();
+  while (!done.load(std::memory_order_acquire)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    const std::int64_t now_calls = calls.load(std::memory_order_relaxed);
+    const auto now = std::chrono::steady_clock::now();
+    if (now_calls != last) {
+      last = now_calls;
+      last_progress = now;
+    } else if (now - last_progress > kStall) {
+      // The stalled call can never return, so neither can the runner be
+      // joined nor the pool shut down: fail loudly and leave.
+      ADD_FAILURE() << "fixup wait stalled after " << now_calls
+                    << " calls: lost wake-up";
+      std::fflush(stdout);
+      std::fflush(stderr);
+      std::_Exit(1);
+    }
+  }
+  runner.join();
+  EXPECT_GT(calls.load(), 0);
+
+  cpu::Matrix<double> expected(shape.m, shape.n);
+  cpu::reference_gemm<double, double, double>(a, b, expected,
+                                              mapping.block());
+  EXPECT_TRUE(testing::bitwise_equal(expected, c));
 }
 
 // ------------------------------------------------------- serial determinism

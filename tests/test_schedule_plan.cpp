@@ -239,6 +239,37 @@ TEST(SchedulePlan, ExecutorConsumesPlanDirectly) {
   EXPECT_TRUE(testing::bitwise_equal(expected, again));
 }
 
+TEST(SchedulePlan, ExecutorRecordsPerCtaSeconds) {
+  // The optional per-CTA sink: one wall time per CTA (every CTA of this
+  // plan has work), results unchanged, and a mis-sized sink rejected.
+  const GemmShape shape{96, 80, 144};
+  const WorkMapping mapping(shape, {32, 32, 16});
+  const SchedulePlan plan = compile_plan(StreamKBasic(mapping, 5));
+
+  cpu::Matrix<double> a(shape.m, shape.k);
+  cpu::Matrix<double> b(shape.k, shape.n);
+  util::Pcg32 rng(7);
+  cpu::fill_random_int(a, rng);
+  cpu::fill_random_int(b, rng);
+  cpu::Matrix<double> expected(shape.m, shape.n);
+  cpu::reference_gemm<double, double, double>(a, b, expected, {32, 32, 16});
+
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{3}}) {
+    std::vector<double> seconds(static_cast<std::size_t>(plan.grid()), -1.0);
+    cpu::Matrix<double> c(shape.m, shape.n);
+    cpu::execute_plan<double, double, double>(plan, a, b, c,
+                                              {.workers = workers}, seconds);
+    EXPECT_TRUE(testing::bitwise_equal(expected, c));
+    for (const double s : seconds) EXPECT_GT(s, 0.0) << workers;
+  }
+
+  std::vector<double> short_sink(static_cast<std::size_t>(plan.grid() - 1));
+  cpu::Matrix<double> c(shape.m, shape.n);
+  EXPECT_THROW((cpu::execute_plan<double, double, double>(plan, a, b, c, {},
+                                                          short_sink)),
+               util::CheckError);
+}
+
 TEST(PlanCache, HitsArePointerIdentical) {
   PlanCache cache;
   const GemmShape shape{192, 160, 224};
